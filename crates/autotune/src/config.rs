@@ -9,6 +9,17 @@
 use serde::{Deserialize, Serialize};
 use smt_sim::Error;
 
+/// Which change-point detectors the loop runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PhaseDetect {
+    /// None: only the probe interval ends a parked stint.
+    Off,
+    /// Watch IPC while parked; probe the top level when it shifts.
+    Parked,
+    /// `Parked`, plus detection on the Eq.-1 factor vector at the top.
+    Full,
+}
+
 /// Tuning knobs for [`crate::AutotuneLoop`].
 ///
 /// The hysteresis/cooldown pair is what keeps adversarial oscillators from
@@ -38,9 +49,8 @@ pub struct AutotuneConfig {
     /// While parked below the top level, re-probe the top level after this
     /// many windows even if no phase change is detected.
     pub probe_interval: u64,
-    /// Run change-point detection (factor vector at the top level, IPC
-    /// while parked) and probe immediately on confirmed phase boundaries.
-    pub phase_detect: bool,
+    /// Which change-point detectors run (see [`PhaseDetect`]).
+    pub phase_detect: PhaseDetect,
     /// Keep a phase memory: revisited phases reuse their learned level
     /// instead of re-proving it through the full hysteresis window.
     pub memory: bool,
@@ -60,7 +70,7 @@ impl Default for AutotuneConfig {
             cooldown: 4,
             warmup: 3,
             probe_interval: 64,
-            phase_detect: true,
+            phase_detect: PhaseDetect::Full,
             memory: true,
             settle_windows: 6,
             memory_capacity: 64,
@@ -92,7 +102,7 @@ pub const ENV_KNOBS: &[(&str, &str)] = &[
     ),
     (
         "SMT_AUTOTUNE_PHASE_DETECT",
-        "0/1: change-point detection on the factor vector",
+        "0/1: phase detection (IPC while parked, factor vector at the top)",
     ),
     (
         "SMT_AUTOTUNE_MEMORY",
@@ -168,7 +178,11 @@ impl AutotuneConfig {
             self.probe_interval = parse_u64("SMT_AUTOTUNE_PROBE_INTERVAL", &s)?;
         }
         if let Ok(s) = std::env::var("SMT_AUTOTUNE_PHASE_DETECT") {
-            self.phase_detect = parse_bool("SMT_AUTOTUNE_PHASE_DETECT", &s)?;
+            self.phase_detect = if parse_bool("SMT_AUTOTUNE_PHASE_DETECT", &s)? {
+                PhaseDetect::Full
+            } else {
+                PhaseDetect::Off
+            };
         }
         if let Ok(s) = std::env::var("SMT_AUTOTUNE_MEMORY") {
             self.memory = parse_bool("SMT_AUTOTUNE_MEMORY", &s)?;

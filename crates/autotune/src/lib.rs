@@ -1,7 +1,6 @@
-//! Closed-loop phase-aware SMT autotuning.
-//!
-//! Everything below the `smtselect` CLI verb that *acts* on the paper's
-//! metric lives here. The pipeline the crate closes:
+//! Closed-loop phase-aware SMT autotuning around the repository's one
+//! online decision core, [`AutotuneLoop`] (`smt_sched::DynamicSmtController`
+//! is that loop in its Section V configuration). The pipeline it closes:
 //!
 //! ```text
 //!   CounterBackend ──windows──▶ AutotuneLoop ──Command──▶ Actuator
@@ -40,7 +39,7 @@ pub mod runtime;
 
 pub use actuator::{Actuation, Actuator, Command, DecisionReason, DryRunActuator, SimActuator};
 pub use affinity::{AffinityActuator, AffinityReport};
-pub use config::{AutotuneConfig, ENV_KNOBS};
+pub use config::{AutotuneConfig, PhaseDetect, ENV_KNOBS};
 pub use memory::{PhaseEntry, PhaseKey, PhaseMemory};
 pub use runtime::{
     AutotuneDecision, AutotuneLoop, AutotuneReport, AutotuneSimReport, DecisionRecord,

@@ -1,19 +1,17 @@
-//! The closed-loop controller.
+//! The online decision core.
 //!
-//! [`AutotuneLoop`] generalizes `smt_sched::DynamicSmtController` from a
-//! recommender into a runtime: it folds counter windows into the Eq.-1
-//! factor vector, runs change-point detection on the *vector* (not just a
-//! scalar), keys each detected phase into a [`PhaseMemory`] so revisited
-//! phases replay their learned level instead of re-proving it, and applies
-//! hysteresis + cooldown before letting any decision reach an
-//! [`Actuator`].
+//! [`AutotuneLoop`] is the repository's one SMT-level state machine:
+//! sample SMTsm at the top level, require hysteresis before a switch,
+//! re-probe the top level while parked. [`AutotuneConfig`] adds the extras:
+//! change-point detection on the Eq.-1 factor *vector*, a [`PhaseMemory`]
+//! that replays revisited phases' learned levels, and a cooldown.
+//! `smt_sched::DynamicSmtController` is the loop with all of them off.
 //!
-//! The decision core ([`AutotuneLoop::observe`]) is a pure function of the
-//! window stream: driving it from a live simulation
-//! ([`SimActuator::run`]), from a daemon's ingested snapshots, or from a
-//! recorded `.smtc` trace ([`AutotuneLoop::run_stream`]) produces
-//! byte-identical decision logs — which is what the golden-file CI job
-//! enforces.
+//! [`AutotuneLoop::observe`] is a pure function of the window stream with
+//! constant-size state; the drivers ([`SimActuator::run`],
+//! [`AutotuneLoop::run_stream`]) keep the decision log, byte-identical
+//! whether the windows come from a simulation, a daemon or a `.smtc`
+//! trace — which is what the golden-file CI job enforces.
 
 use serde::{Deserialize, Serialize};
 use smt_collect::{CounterBackend, TraceWriter};
@@ -23,7 +21,7 @@ use smtsm::{
 };
 
 use crate::actuator::{Actuator, Command, DecisionReason, SimActuator};
-use crate::config::AutotuneConfig;
+use crate::config::{AutotuneConfig, PhaseDetect};
 use crate::memory::{PhaseKey, PhaseMemory};
 
 /// What the loop wants after observing one window.
@@ -130,7 +128,8 @@ pub struct AutotuneLoop {
     phase_key: Option<PhaseKey>,
     /// Global window counter.
     window: u64,
-    decisions: Vec<DecisionRecord>,
+    /// Records of the last `observe` (at most two).
+    events: Vec<DecisionRecord>,
     switches: u64,
     probes: u64,
     phase_changes: u64,
@@ -151,12 +150,22 @@ impl AutotuneLoop {
         cfg: AutotuneConfig,
     ) -> Result<AutotuneLoop, Error> {
         cfg.validate()?;
-        Ok(AutotuneLoop {
+        Ok(AutotuneLoop::new_unchecked(selector, spec, cfg))
+    }
+
+    /// Build a loop without validating `cfg`; degenerate values keep their
+    /// literal meaning (hysteresis 0 switches on the first disagreement).
+    pub fn new_unchecked(
+        selector: LevelSelector,
+        spec: MetricSpec,
+        cfg: AutotuneConfig,
+    ) -> AutotuneLoop {
+        AutotuneLoop {
             selector,
             sampler: OnlineSampler::new(spec, cfg.window_cycles, cfg.alpha),
             detector: VectorPhaseDetector::for_factors(),
             parked_watch: PhaseDetector::new(0.4, 0.5, 3),
-            memory: PhaseMemory::new(cfg.memory_capacity),
+            memory: PhaseMemory::new(cfg.memory_capacity.max(1)),
             cfg,
             pending: None,
             parked_windows: 0,
@@ -166,13 +175,13 @@ impl AutotuneLoop {
             windows_at_top: 0,
             phase_key: None,
             window: 0,
-            decisions: Vec::new(),
+            events: Vec::new(),
             switches: 0,
             probes: 0,
             phase_changes: 0,
             recalls: 0,
             learned: 0,
-        })
+        }
     }
 
     /// The highest level the selector knows about.
@@ -189,14 +198,19 @@ impl AutotuneLoop {
         &self.cfg
     }
 
+    /// The trained selector driving decisions.
+    pub fn selector(&self) -> &LevelSelector {
+        &self.selector
+    }
+
+    /// The online sampler (exposes the current smoothed metric).
+    pub fn sampler(&self) -> &OnlineSampler {
+        &self.sampler
+    }
+
     /// The phase memory (learned levels per phase signature).
     pub fn memory(&self) -> &PhaseMemory {
         &self.memory
-    }
-
-    /// Windows observed so far.
-    pub fn windows_observed(&self) -> u64 {
-        self.window
     }
 
     fn can_switch(&self) -> bool {
@@ -211,7 +225,7 @@ impl AutotuneLoop {
         metric: Option<f64>,
         phase: Option<PhaseKey>,
     ) {
-        self.decisions.push(DecisionRecord {
+        self.events.push(DecisionRecord {
             window: self.window,
             from,
             to,
@@ -276,6 +290,7 @@ impl AutotuneLoop {
     /// factor-vector detector, parked windows feed only the IPC watcher
     /// and the probe timer.
     pub fn observe(&mut self, m: &WindowMeasurement) -> AutotuneDecision {
+        self.events.clear();
         self.window += 1;
         self.since_switch = self.since_switch.saturating_add(1);
         let top = self.top_level();
@@ -303,7 +318,8 @@ impl AutotuneLoop {
     fn observe_at_top(&mut self, m: &WindowMeasurement, top: SmtLevel) -> AutotuneDecision {
         self.windows_at_top += 1;
         let (metric, factors) = self.sampler.push_window(m);
-        let fired = self.cfg.phase_detect && self.detector.push_factors(&factors);
+        let fired =
+            self.cfg.phase_detect == PhaseDetect::Full && self.detector.push_factors(&factors);
 
         if fired {
             // Confirmed phase boundary while at the top: re-anchor the
@@ -387,7 +403,8 @@ impl AutotuneLoop {
 
     fn observe_parked(&mut self, m: &WindowMeasurement, top: SmtLevel) -> AutotuneDecision {
         self.parked_windows += 1;
-        let phase_changed = self.cfg.phase_detect && self.parked_watch.push(m.ipc());
+        let phase_changed =
+            self.cfg.phase_detect != PhaseDetect::Off && self.parked_watch.push(m.ipc());
         if phase_changed {
             self.phase_changes += 1;
             // The phase under our feet moved: the learned level no longer
@@ -413,8 +430,8 @@ impl AutotuneLoop {
         }
     }
 
-    /// Snapshot the run so far as a report.
-    pub fn report(&self) -> AutotuneReport {
+    /// Summarize the run so far around the decision log a driver kept.
+    fn report(&self, decisions: Vec<DecisionRecord>) -> AutotuneReport {
         AutotuneReport {
             windows: self.window,
             switches: self.switches,
@@ -423,14 +440,13 @@ impl AutotuneLoop {
             recalls: self.recalls,
             learned: self.learned,
             phases_remembered: self.memory.len(),
-            final_level: self
-                .decisions
+            final_level: decisions
                 .iter()
                 .rev()
                 .find(|d| d.from != d.to)
                 .map(|d| d.to)
                 .unwrap_or_else(|| self.top_level()),
-            decisions: self.decisions.clone(),
+            decisions,
         }
     }
 
@@ -448,24 +464,35 @@ impl AutotuneLoop {
         max_windows: u64,
     ) -> Result<AutotuneReport, Error> {
         let mut seen = 0u64;
+        let mut decisions = Vec::new();
         while seen < max_windows {
             let Some(m) = backend.next_window(self.cfg.window_cycles)? else {
                 break;
             };
             seen += 1;
-            let from = m.smt;
-            let d = self.observe(&m);
-            if d.switched {
-                let cmd = Command {
-                    window: self.window,
-                    from,
-                    to: d.level,
-                    reason: d.reason.unwrap_or(DecisionReason::Metric),
-                };
-                actuator.apply(&cmd)?;
-            }
+            self.step(&m, actuator, &mut decisions)?;
         }
-        Ok(self.report())
+        Ok(self.report(decisions))
+    }
+
+    /// One driver iteration: observe, log, and actuate any switch.
+    fn step(
+        &mut self,
+        m: &WindowMeasurement,
+        actuator: &mut dyn Actuator,
+        log: &mut Vec<DecisionRecord>,
+    ) -> Result<(), Error> {
+        let d = self.observe(m);
+        log.extend_from_slice(&self.events);
+        if d.switched {
+            actuator.apply(&Command {
+                window: self.window,
+                from: m.smt,
+                to: d.level,
+                reason: d.reason.unwrap_or(DecisionReason::Metric),
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -503,6 +530,7 @@ impl<W: Workload> SimActuator<W> {
         let top = ctl.top_level();
         let start = self.sim().now();
         let window_cycles = ctl.config().window_cycles;
+        let mut decisions = Vec::new();
         while !self.sim().finished() && self.sim().now() - start < max_cycles {
             let parked = self.sim().smt() != top;
             let m = self.sim_mut().measure_window(window_cycles);
@@ -513,22 +541,12 @@ impl<W: Workload> SimActuator<W> {
             if let Some(r) = rec.as_deref_mut() {
                 r.append(&m)?;
             }
-            let from = m.smt;
-            let d = ctl.observe(&m);
-            if d.switched {
-                let cmd = Command {
-                    window: ctl.windows_observed(),
-                    from,
-                    to: d.level,
-                    reason: d.reason.unwrap_or(DecisionReason::Metric),
-                };
-                self.apply(&cmd)?;
-            }
+            ctl.step(&m, self, &mut decisions)?;
         }
         let cycles = self.sim().now() - start;
         let work_done = self.sim().workload().work_done();
         Ok(AutotuneSimReport {
-            decisions: ctl.report(),
+            decisions: ctl.report(decisions),
             cycles,
             work_done,
             perf: if cycles > 0 {

@@ -17,7 +17,8 @@
 //!   manifest ([`check_against`]).
 //! - [`replay`] — open-loop trace replay through the same
 //!   [`DynamicSmtController`](smt_sched::DynamicSmtController) the daemon
-//!   runs, producing a mechanical per-trace level prediction.
+//!   runs (the one online decision core), producing a mechanical per-trace
+//!   level prediction.
 //! - [`score`] — the resumable, fault-isolated batch scorer
 //!   ([`score_corpus`]): rayon fan-out, a JSONL journal that lets an
 //!   interrupted run resume instead of restart, and per-level

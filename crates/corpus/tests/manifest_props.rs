@@ -3,7 +3,8 @@
 //! truncation at any offset — must surface as a structured error from
 //! [`CorpusManifest::from_json`], never a panic or a silently accepted
 //! manifest. A wrong manifest is how a wrong accuracy number would get
-//! published, so rejection is load-bearing.
+//! published, so rejection is load-bearing. [`CorpusManifest::load`] must
+//! likewise turn arbitrary file bytes into a structured error.
 
 use std::collections::BTreeMap;
 
@@ -121,5 +122,26 @@ proptest! {
         let body = tampered.to_json().unwrap();
         let err = CorpusManifest::from_json(&body).unwrap_err().to_string();
         prop_assert!(err.contains("checksum"), "{}", err);
+    }
+
+    #[test]
+    fn arbitrary_file_bytes_are_structured_errors(
+        m in arb_manifest(),
+        at in any::<u64>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Pure junk, and a sealed manifest spliced with junk at an
+        // arbitrary offset (which may split a UTF-8 sequence).
+        let body = m.to_json().unwrap().into_bytes();
+        let at = (at as usize) % body.len();
+        let spliced: Vec<u8> = body[..at].iter().chain(&junk).copied().collect();
+        let path = std::env::temp_dir()
+            .join(format!("smt-corpus-manifest-props-{}.json", std::process::id()));
+        for bytes in [&junk, &spliced] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = CorpusManifest::load(&path).unwrap_err();
+            prop_assert!(!err.to_string().is_empty());
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

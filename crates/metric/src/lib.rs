@@ -50,5 +50,5 @@ pub use predictor::{
     DEFAULT_THRESHOLD_TOP,
 };
 pub use sampler::OnlineSampler;
-pub use signature::{CompatModel, ThreadSignature};
+pub use signature::{CompatModel, SignatureFold, ThreadSignature};
 pub use threshold::{gini_sweep, PpiSweep};

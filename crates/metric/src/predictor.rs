@@ -132,6 +132,17 @@ impl LevelSelector {
         }
     }
 
+    /// Fixed thresholds for a machine topped by `top`: three levels under
+    /// SMT4, else `top` over SMT1 on `t_top` alone.
+    pub fn fixed_for_top(top: SmtLevel, t_top: f64, t_mid: f64) -> LevelSelector {
+        let p_top = ThresholdPredictor::fixed(t_top);
+        if top == SmtLevel::Smt4 {
+            LevelSelector::three_level(p_top, ThresholdPredictor::fixed(t_mid))
+        } else {
+            LevelSelector::two_level(top, SmtLevel::Smt1, p_top)
+        }
+    }
+
     /// Recommend a level from a metric value measured at the top level.
     pub fn recommend(&self, metric: f64) -> SmtLevel {
         for (level, p) in &self.rungs {

@@ -21,7 +21,7 @@
 
 use crate::ideal::{MetricSpec, MixBasis};
 use serde::{Deserialize, Serialize};
-use smt_sim::{ThreadCounters, WindowMeasurement};
+use smt_sim::{SmtLevel, ThreadCounters, WindowMeasurement};
 
 /// A thread's condensed counter profile, built from solo-run windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,26 +54,58 @@ impl ThreadSignature {
     /// (counters are deltas, so addition is exact) before the fractions
     /// are taken, weighting each window by its length.
     pub fn from_windows(spec: &MetricSpec, windows: &[WindowMeasurement]) -> ThreadSignature {
-        let mut agg: Option<ThreadCounters> = None;
-        let mut wall = 0u64;
+        let mut fold = SignatureFold::default();
         for w in windows {
-            wall += w.wall_cycles;
-            let a = w.aggregate();
-            match &mut agg {
-                Some(acc) => acc.merge(&a),
-                None => agg = Some(a),
-            }
+            fold.push(w);
         }
-        let agg = agg.unwrap_or_else(|| ThreadCounters::new(spec.num_ports));
+        fold.finish(spec)
+    }
+
+    /// Demanded issue slots per cycle at each resource: the mix vector
+    /// scaled by IPC and utilization. The overlap of two pressure vectors
+    /// is what the compatibility model penalizes.
+    pub fn pressure(&self) -> Vec<f64> {
+        self.mix.iter().map(|&f| f * self.ipc * self.util).collect()
+    }
+}
+
+/// The running sum a [`ThreadSignature`] is condensed from. Every field is
+/// an integer sum, so folding windows one at a time equals
+/// [`ThreadSignature::from_windows`] exactly, in constant space.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SignatureFold {
+    /// Merged counters and the first window's level.
+    agg: Option<(ThreadCounters, SmtLevel)>,
+    wall_cycles: u64,
+    windows: usize,
+}
+
+impl SignatureFold {
+    /// Add one solo-run window.
+    pub fn push(&mut self, w: &WindowMeasurement) {
+        let a = w.aggregate();
+        match &mut self.agg {
+            Some((acc, _)) => acc.merge(&a),
+            None => self.agg = Some((a, w.smt)),
+        }
+        self.wall_cycles += w.wall_cycles;
+        self.windows += 1;
+    }
+
+    /// Condense the windows folded so far into a signature.
+    pub fn finish(&self, spec: &MetricSpec) -> ThreadSignature {
+        let (agg, smt) = self
+            .agg
+            .clone()
+            .unwrap_or_else(|| (ThreadCounters::new(spec.num_ports), SmtLevel::Smt1));
+        let wall = self.wall_cycles;
         let combined = WindowMeasurement {
             wall_cycles: wall,
-            smt: windows
-                .first()
-                .map(|w| w.smt)
-                .unwrap_or(smt_sim::SmtLevel::Smt1),
-            per_thread: vec![agg.clone()],
+            smt,
+            per_thread: vec![agg],
             cores: smt_sim::CoreCounters::default(),
         };
+        let agg = &combined.per_thread[0];
         let mix = match spec.basis {
             MixBasis::Power7Classes => MetricSpec::observed_classes(&combined).to_vec(),
             MixBasis::UniformPorts => combined.port_fractions(),
@@ -81,7 +113,7 @@ impl ThreadSignature {
         let cpu = agg.cpu_cycles;
         let live = cpu + agg.sleep_cycles;
         ThreadSignature {
-            windows: windows.len(),
+            windows: self.windows,
             wall_cycles: wall,
             tput: if wall == 0 {
                 0.0
@@ -112,13 +144,6 @@ impl ThreadSignature {
                 cpu as f64 / live as f64
             },
         }
-    }
-
-    /// Demanded issue slots per cycle at each resource: the mix vector
-    /// scaled by IPC and utilization. The overlap of two pressure vectors
-    /// is what the compatibility model penalizes.
-    pub fn pressure(&self) -> Vec<f64> {
-        self.mix.iter().map(|&f| f * self.ipc * self.util).collect()
     }
 }
 

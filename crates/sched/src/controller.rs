@@ -8,10 +8,12 @@
 //! level (Figs. 11/12: measured at SMT1 it cannot foresee contention), the
 //! controller re-probes the top level periodically while parked at a lower
 //! one, which is also what lets it follow phase changes.
+//! The state machine is `smt_autotune::AutotuneLoop` with its extras off.
 
 use serde::{Deserialize, Serialize};
+use smt_autotune::{AutotuneConfig, AutotuneLoop, PhaseDetect};
 use smt_sim::{Simulation, SmtLevel, WindowMeasurement, Workload};
-use smtsm::{LevelSelector, MetricSpec, OnlineSampler, PhaseDetector};
+use smtsm::{LevelSelector, MetricSpec, OnlineSampler};
 
 /// Controller tuning knobs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -91,27 +93,29 @@ pub struct StreamDecision {
 /// Samples the metric online and reconfigures the machine's SMT level.
 #[derive(Debug, Clone)]
 pub struct DynamicSmtController {
-    selector: LevelSelector,
-    sampler: OnlineSampler,
-    cfg: ControllerConfig,
-    /// Candidate level and how many consecutive windows recommended it.
-    pending: Option<(SmtLevel, u64)>,
-    /// Windows spent parked below the top level since the last probe.
-    parked_windows: u64,
-    /// IPC watcher used while parked (phase_detect).
-    detector: PhaseDetector,
+    core: AutotuneLoop,
 }
 
 impl DynamicSmtController {
     /// Build a controller from a trained selector.
     pub fn new(selector: LevelSelector, spec: MetricSpec, cfg: ControllerConfig) -> Self {
+        let tune = AutotuneConfig {
+            window_cycles: cfg.window_cycles,
+            alpha: cfg.alpha,
+            hysteresis: cfg.hysteresis,
+            cooldown: 0,
+            warmup: 0,
+            probe_interval: cfg.probe_interval,
+            phase_detect: if cfg.phase_detect {
+                PhaseDetect::Parked
+            } else {
+                PhaseDetect::Off
+            },
+            memory: false,
+            ..AutotuneConfig::default()
+        };
         DynamicSmtController {
-            selector,
-            sampler: OnlineSampler::new(spec, cfg.window_cycles, cfg.alpha),
-            cfg,
-            pending: None,
-            parked_windows: 0,
-            detector: PhaseDetector::new(0.4, 0.5, 3),
+            core: AutotuneLoop::new_unchecked(selector, spec, tune),
         }
     }
 
@@ -127,61 +131,13 @@ impl DynamicSmtController {
     ///
     /// [`run`]: DynamicSmtController::run
     pub fn observe(&mut self, m: &WindowMeasurement) -> StreamDecision {
-        let top = self.top_level();
-        if m.smt == top {
-            let (metric, _) = self.sampler.push_window(m);
-            let want = self.selector.recommend(metric);
-            if want != m.smt {
-                let n = match self.pending {
-                    Some((lvl, n)) if lvl == want => n + 1,
-                    _ => 1,
-                };
-                self.pending = Some((want, n));
-                if n >= self.cfg.hysteresis {
-                    self.sampler.reset();
-                    self.detector.reset();
-                    self.pending = None;
-                    self.parked_windows = 0;
-                    return StreamDecision {
-                        level: want,
-                        metric: Some(metric),
-                        switched: true,
-                        probe: false,
-                    };
-                }
-            } else {
-                self.pending = None;
-            }
-            StreamDecision {
-                level: top,
-                metric: Some(metric),
-                switched: false,
-                probe: false,
-            }
-        } else {
-            // Parked at a lower level: the metric is not meaningful down
-            // here (Figs. 11/12), so watch only the IPC for phase changes,
-            // and periodically re-probe the top level regardless.
-            self.parked_windows += 1;
-            let phase_changed = self.cfg.phase_detect && self.detector.push(m.ipc());
-            if phase_changed || self.parked_windows >= self.cfg.probe_interval {
-                self.sampler.reset();
-                self.detector.reset();
-                self.parked_windows = 0;
-                StreamDecision {
-                    level: top,
-                    metric: None,
-                    switched: true,
-                    probe: true,
-                }
-            } else {
-                StreamDecision {
-                    level: m.smt,
-                    metric: None,
-                    switched: false,
-                    probe: false,
-                }
-            }
+        let d = self.core.observe(m);
+        StreamDecision {
+            level: d.level,
+            metric: d.metric,
+            switched: d.switched,
+            // Metric switches never target the top: switches to it are probes.
+            probe: d.switched && d.level == self.top_level(),
         }
     }
 
@@ -200,7 +156,7 @@ impl DynamicSmtController {
 
         while !sim.finished() && sim.now() - start < max_cycles {
             let parked = sim.smt() != top;
-            let m = sim.measure_window(self.cfg.window_cycles);
+            let m = sim.measure_window(self.core.config().window_cycles);
             windows += 1;
             if parked && sim.finished() {
                 // A probe return would only burn drain cycles now.
@@ -234,26 +190,17 @@ impl DynamicSmtController {
 
     /// The highest level the selector knows about.
     pub fn top_level(&self) -> SmtLevel {
-        self.selector
-            .rungs
-            .first()
-            .map(|(l, _)| *l)
-            .unwrap_or(self.selector.floor)
+        self.core.top_level()
     }
 
     /// The trained selector driving decisions.
     pub fn selector(&self) -> &LevelSelector {
-        &self.selector
-    }
-
-    /// The controller's tuning knobs.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
+        self.core.selector()
     }
 
     /// The online sampler (exposes the current smoothed metric).
     pub fn sampler(&self) -> &OnlineSampler {
-        &self.sampler
+        self.core.sampler()
     }
 }
 
@@ -347,7 +294,7 @@ mod tests {
         let mut replica_level = top;
         while !sim.finished() && sim.now() < 100_000_000 {
             let parked = sim.smt() != top;
-            let m = sim.measure_window(ctl.config().window_cycles);
+            let m = sim.measure_window(small_cfg().window_cycles);
             if parked && sim.finished() {
                 break;
             }

@@ -17,7 +17,7 @@
 //! - [`endpoint`] — `tcp://host:port` / `unix:///path` endpoint strings,
 //!   parsed once and accepted everywhere an address used to be.
 //! - [`session`] — per-connection state: one
-//!   [`DynamicSmtController`](smt_sched::DynamicSmtController), the exact
+//!   [`DynamicSmtController`](smt_sched::DynamicSmtController), the one
 //!   decision core offline runs use, so online and offline answers agree
 //!   by construction.
 //! - [`server`] — the daemon: an epoll-based reactor (raw syscalls on
@@ -62,4 +62,4 @@ pub use protocol::{
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{spawn, spawn_with_sink, CodecPolicy, MetricsView, ServerConfig, ServerHandle};
-pub use session::{machine_by_name, PlaceError, Session};
+pub use session::{machine_by_name, PlaceError, Session, MAX_TAGGED_THREADS};

@@ -18,12 +18,11 @@
 //! frames and match replies positionally.
 //!
 //! A connection owns at most one *session* — created by `hello`, which
-//! instantiates the per-client decision state (a [`MetricSpec`]-driven
-//! `OnlineSampler`, a `PhaseDetector`, and a trained `LevelSelector`
-//! wrapped in a `DynamicSmtController`). `ingest` folds streamed counter
-//! windows into that state; `recommend` reads the current answer without
-//! advancing it; `stats` and `shutdown` are ops verbs that work with or
-//! without a session.
+//! instantiates the per-client decision state: a `DynamicSmtController`
+//! (the one online decision core) over a [`MetricSpec`] and a trained
+//! `LevelSelector`. `ingest` folds streamed counter windows into that
+//! state; `recommend` reads the current answer without advancing it;
+//! `stats` and `shutdown` are ops verbs that work with or without a session.
 //!
 //! [`MetricSpec`]: smtsm::MetricSpec
 //! [`NdjsonCodec`]: crate::codec::NdjsonCodec
@@ -154,7 +153,8 @@ pub enum Request {
     /// Stream solo-run counter windows attributed to one client thread
     /// (protocol revision 3). Tagged windows feed the session's
     /// per-thread signatures for `place`; they do not advance the
-    /// SMT-level decision core.
+    /// SMT-level decision core. A thread past the session's
+    /// [`MAX_TAGGED_THREADS`](crate::MAX_TAGGED_THREADS) gets `BadRequest`.
     IngestTagged {
         /// Client-chosen thread id the windows belong to.
         thread: u32,

@@ -54,7 +54,7 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::reactor::{PollEvent, Poller, Waker};
-use crate::session::Session;
+use crate::session::{Session, MAX_TAGGED_THREADS};
 
 /// Reactor wait slice; shutdown and sweeps are observed at least this
 /// often even with no traffic (wakeups cut the latency to microseconds).
@@ -972,6 +972,13 @@ fn handle_request(
             ),
         },
         Request::IngestTagged { thread, windows } => match session.as_mut() {
+            Some(s) if !s.can_tag(thread) => (
+                Response::error(
+                    ErrorCode::BadRequest,
+                    format!("thread {thread} is over the {MAX_TAGGED_THREADS}-thread tag cap"),
+                ),
+                false,
+            ),
             Some(s) => {
                 let summary = s.ingest_tagged(thread, &windows);
                 ctx.metrics.windows_ingested(summary.accepted);

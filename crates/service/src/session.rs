@@ -1,14 +1,15 @@
 //! Per-connection session state.
 //!
-//! A session wraps one [`DynamicSmtController`] — the *same* decision core
-//! the offline simulator-driven runs use — plus the bookkeeping the
-//! protocol needs on top: the factors of the most recent top-level window
-//! (for `recommend` evidence), the level the decision core currently wants
-//! the client's machine at, and a lifetime window count.
+//! A session wraps one [`DynamicSmtController`] — the one online decision
+//! core, which offline runs and the corpus scorer use too — plus the
+//! bookkeeping the protocol needs on top: the factors of the most recent
+//! top-level window (for `recommend` evidence), the level the decision core
+//! currently wants the client's machine at, and a lifetime window count.
 //!
-//! Revision-3 sessions additionally hold per-thread solo-run windows
-//! (`ingest_tagged`) and answer `place` by building [`ThreadSignature`]s
-//! from them and running the placement allocator over the session's
+//! Revision-3 sessions additionally fold each tagged thread's solo-run
+//! windows (`ingest_tagged`, at most [`MAX_TAGGED_THREADS`] threads) into a
+//! constant-size [`SignatureFold`] and answer `place` by running the
+//! placement allocator over the finished signatures and the session's
 //! machine model — the identical path `smtselect place` takes offline, so
 //! daemon and CLI answers agree byte for byte.
 
@@ -17,11 +18,13 @@ use smt_sched::{
     SearchStrategy,
 };
 use smt_sim::{Error, MachineConfig, SmtLevel, WindowMeasurement};
-use smtsm::{
-    smtsm_factors, LevelSelector, MetricSpec, SmtsmFactors, ThreadSignature, ThresholdPredictor,
-};
+use smtsm::{smtsm_factors, LevelSelector, MetricSpec, SignatureFold, SmtsmFactors};
 
 use crate::protocol::{ErrorCode, IngestSummary, SessionSpec, PROTOCOL_VERSION};
+
+/// Most distinct threads one session may tag: 16× the SMT slots of the
+/// largest machine model (p7x2, 64), so no solvable placement comes near.
+pub const MAX_TAGGED_THREADS: usize = 1024;
 
 /// Why a `place` request could not be answered. Each variant maps onto
 /// one protocol [`ErrorCode`] (see [`PlaceError::code`]).
@@ -61,7 +64,6 @@ pub struct Session {
     id: u64,
     controller: DynamicSmtController,
     spec: MetricSpec,
-    top: SmtLevel,
     /// Level the decision core currently wants the client's machine at.
     level: SmtLevel,
     /// Eq.-1 factors of the most recent top-level window.
@@ -71,8 +73,8 @@ pub struct Session {
     proto: u32,
     /// The session's machine model, kept for placement capacity checks.
     machine: MachineConfig,
-    /// Per-thread solo-run windows, in first-tagged order.
-    tagged: Vec<(u32, Vec<WindowMeasurement>)>,
+    /// Per-thread solo-run window sums, in first-tagged order.
+    tagged: Vec<(u32, SignatureFold)>,
 }
 
 impl Session {
@@ -100,18 +102,7 @@ impl Session {
             .smt_levels()
             .last()
             .ok_or_else(|| Error::InvalidMachine("machine has no SMT levels".to_string()))?;
-        let selector = if top == SmtLevel::Smt4 {
-            LevelSelector::three_level(
-                ThresholdPredictor::fixed(spec.threshold),
-                ThresholdPredictor::fixed(spec.mid),
-            )
-        } else {
-            LevelSelector::two_level(
-                top,
-                SmtLevel::Smt1,
-                ThresholdPredictor::fixed(spec.threshold),
-            )
-        };
+        let selector = LevelSelector::fixed_for_top(top, spec.threshold, spec.mid);
         let metric_spec = MetricSpec::for_arch(&machine.arch);
         let cfg = ControllerConfig {
             window_cycles: spec.window_cycles,
@@ -124,7 +115,6 @@ impl Session {
             id,
             controller: DynamicSmtController::new(selector, metric_spec, cfg),
             spec: metric_spec,
-            top,
             level: top,
             last_factors: SmtsmFactors {
                 mix_deviation: 0.0,
@@ -157,7 +147,7 @@ impl Session {
 
     /// Top SMT level of the session's machine model.
     pub fn top(&self) -> SmtLevel {
-        self.top
+        self.controller.top_level()
     }
 
     /// Level the decision core currently wants the client's machine at.
@@ -175,7 +165,7 @@ impl Session {
     pub fn ingest(&mut self, windows: &[WindowMeasurement]) -> IngestSummary {
         let mut switches = Vec::new();
         for m in windows {
-            if m.smt == self.top {
+            if m.smt == self.top() {
                 self.last_factors = smtsm_factors(&self.spec, m);
             }
             let d = self.controller.observe(m);
@@ -226,10 +216,12 @@ impl Session {
     /// never advance the SMT-level decision core, since solo-run profiles
     /// are not the machine's live window stream.
     pub fn ingest_tagged(&mut self, thread: u32, windows: &[WindowMeasurement]) -> IngestSummary {
-        match self.tagged.iter_mut().find(|(t, _)| *t == thread) {
-            Some((_, stored)) => stored.extend_from_slice(windows),
-            None => self.tagged.push((thread, windows.to_vec())),
-        }
+        let i = self.tagged.iter().position(|(t, _)| *t == thread);
+        let i = i.unwrap_or_else(|| {
+            self.tagged.push((thread, SignatureFold::default()));
+            self.tagged.len() - 1
+        });
+        windows.iter().for_each(|w| self.tagged[i].1.push(w));
         self.windows += windows.len() as u64;
         IngestSummary {
             accepted: windows.len() as u64,
@@ -239,12 +231,17 @@ impl Session {
         }
     }
 
+    /// Whether tagging `thread` stays within [`MAX_TAGGED_THREADS`].
+    pub fn can_tag(&self, thread: u32) -> bool {
+        self.tagged.len() < MAX_TAGGED_THREADS || self.tagged.iter().any(|(t, _)| *t == thread)
+    }
+
     /// Thread ids with tagged windows, in first-tagged order.
     pub fn tagged_threads(&self) -> Vec<u32> {
         self.tagged.iter().map(|(t, _)| *t).collect()
     }
 
-    /// Answer a `place` request: build per-thread signatures from the
+    /// Answer a `place` request: finish per-thread signatures from the
     /// tagged solo-run windows and solve for the best thread-to-core
     /// assignment on the session's machine model. An empty `threads`
     /// list means "place every tagged thread", in first-tagged order.
@@ -273,16 +270,17 @@ impl Session {
         let mut sigs = Vec::with_capacity(chosen.len());
         let mut windows = 0u64;
         for t in &chosen {
-            let stored = self
+            let fold = self
                 .tagged
                 .iter()
                 .find(|(id, _)| id == t)
-                .map(|(_, w)| w)
+                .map(|(_, f)| f)
                 .ok_or_else(|| {
                     PlaceError::UnknownThread(format!("thread {t} has no tagged windows"))
                 })?;
-            windows += stored.len() as u64;
-            sigs.push(ThreadSignature::from_windows(&self.spec, stored));
+            let sig = fold.finish(&self.spec);
+            windows += sig.windows as u64;
+            sigs.push(sig);
         }
         let outcome = AllocatorConfig::for_machine(self.machine.clone())
             .threads(sigs)

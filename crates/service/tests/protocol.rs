@@ -312,6 +312,39 @@ fn place_errors_are_structured() {
     assert_eq!(report.cores, vec![vec![1]]);
 }
 
+/// A session may tag at most `MAX_TAGGED_THREADS` distinct threads: the
+/// next new thread gets a structured `BadRequest`, while already-tagged
+/// threads keep folding windows and `place` still answers.
+#[test]
+fn tagging_past_the_thread_cap_is_a_structured_error() {
+    let addr = shared_server_addr();
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    client
+        .hello_with(&SessionSpec::power7(), CodecKind::Binary)
+        .expect("hello");
+    let cap = smt_service::MAX_TAGGED_THREADS as u32;
+    for t in 0..cap {
+        client.ingest_tagged(t, &[]).expect("under the cap");
+    }
+    let over = Request::IngestTagged {
+        thread: cap,
+        windows: vec![sample_window()],
+    };
+    match client.call(&over).expect("reply") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("cap"), "{message}");
+        }
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    let summary = client
+        .ingest_tagged(cap - 1, &[sample_window()])
+        .expect("a tagged thread stays open");
+    assert_eq!(summary.accepted, 1);
+    let report = client.place(&[cap - 1]).expect("place still answers");
+    assert_eq!(report.windows, 1);
+}
+
 /// One server shared by all proptest cases (each case opens its own
 /// connection). Never shut down: the process exit reaps it.
 fn shared_server_addr() -> &'static str {

@@ -8,7 +8,6 @@
 //! the caller exactly like rayon's.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Everything call sites need: `par_iter()` plus the iterator adapters.
 pub mod prelude {
@@ -94,8 +93,8 @@ where
 
 /// Map `f` over `items` on all available cores, preserving input order.
 ///
-/// A panic in any worker is re-raised on the calling thread once the
-/// scope joins (same contract as rayon).
+/// A panic in any worker is re-raised on the calling thread with the
+/// first such worker's payload once all have joined (as in rayon).
 pub fn parallel_map<'a, T, R, F>(items: &'a [T], f: &F) -> Vec<R>
 where
     T: Sync,
@@ -111,24 +110,26 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
-                    }
-                    local.push((idx, f(&items[idx])));
-                }
-                collected.lock().unwrap().extend(local);
-            });
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= items.len() {
+                return local;
+            }
+            local.push((idx, f(&items[idx])));
         }
+    };
+    let joined: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        // Joined here, so the scope cannot re-panic with its own message.
+        handles.into_iter().map(|h| h.join()).collect()
     });
 
-    let mut pairs = collected.into_inner().unwrap();
+    let mut pairs = Vec::with_capacity(items.len());
+    for local in joined {
+        pairs.extend(local.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+    }
     pairs.sort_by_key(|(idx, _)| *idx);
     pairs.into_iter().map(|(_, r)| r).collect()
 }

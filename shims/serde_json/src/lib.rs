@@ -144,9 +144,14 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting accepted: parsing recurses per level, so a
+/// hostile document must not be able to overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse a complete JSON document into a [`Value`].
@@ -154,6 +159,7 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -206,11 +212,21 @@ impl<'a> Parser<'a> {
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -406,6 +422,15 @@ mod tests {
         let text = to_string(&x).unwrap();
         let back: f64 = from_str(&text).unwrap();
         assert_eq!(x, back);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&ok).is_ok());
+        let hostile = "[{\"a\":".repeat(1 << 16);
+        let err = parse_value(&hostile).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

@@ -364,6 +364,14 @@ fn session_spec(o: &Opts) -> service::SessionSpec {
     spec
 }
 
+/// The offline session every local verb answers through, or exit 2.
+fn open_session(sspec: &service::SessionSpec) -> service::Session {
+    service::Session::new(0, sspec).unwrap_or_else(|e| {
+        eprintln!("bad session parameters: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn cmd_list() {
     let mut seen = std::collections::HashSet::new();
     println!("{:<22} {:<14} description", "benchmark", "suite");
@@ -394,10 +402,7 @@ fn cmd_analyze(o: &Opts) {
         // so this line is byte-identical to what `smtd` would serve for
         // the same counter stream.
         let sspec = session_spec(o);
-        let mut session = service::Session::new(0, &sspec).unwrap_or_else(|e| {
-            eprintln!("bad session parameters: {e}");
-            std::process::exit(2);
-        });
+        let mut session = open_session(&sspec);
         let mut sim = Simulation::new(cfg, top, SyntheticWorkload::new(spec));
         sim.run_cycles(25_000);
         for _ in 0..8 {
@@ -663,24 +668,14 @@ fn cmd_tune(o: &Opts) {
     let (cfg, label) = machine_by_name(&o.machine);
     let spec = find_spec(name).scaled(o.scale);
     let top = *cfg.smt_levels().last().expect("levels");
-    let selector = if top == SmtLevel::Smt4 {
-        LevelSelector::three_level(
-            ThresholdPredictor::fixed(o.threshold),
-            ThresholdPredictor::fixed(o.mid),
-        )
-    } else {
-        LevelSelector::two_level(top, SmtLevel::Smt1, ThresholdPredictor::fixed(o.threshold))
-    };
+    let selector = LevelSelector::fixed_for_top(top, o.threshold, o.mid);
     if o.json {
         // Closed-loop tuning through the daemon's session type: the local
         // simulation plays the client's machine, applying each level the
         // session answers with, and the final recommendation is printed
         // exactly as `smtd` would serve it.
         let sspec = session_spec(o);
-        let mut session = service::Session::new(0, &sspec).unwrap_or_else(|e| {
-            eprintln!("bad session parameters: {e}");
-            std::process::exit(2);
-        });
+        let mut session = open_session(&sspec);
         let mut sim = Simulation::new(cfg, top, SyntheticWorkload::new(spec));
         while !sim.finished() && sim.now() < 5_000_000_000 {
             let m = sim.measure_window(sspec.window_cycles);
@@ -716,19 +711,6 @@ fn cmd_tune(o: &Opts) {
     }
 }
 
-/// Build the autotuner's level selector from the CLI thresholds, matching
-/// the machine's ladder depth the same way `tune` does.
-fn autotune_selector(o: &Opts, top: SmtLevel) -> LevelSelector {
-    if top == SmtLevel::Smt4 {
-        LevelSelector::three_level(
-            ThresholdPredictor::fixed(o.threshold),
-            ThresholdPredictor::fixed(o.mid),
-        )
-    } else {
-        LevelSelector::two_level(top, SmtLevel::Smt1, ThresholdPredictor::fixed(o.threshold))
-    }
-}
-
 fn print_autotune_summary(report: &AutotuneReport, verbose: bool) {
     println!(
         "decisions  : {} window(s): {} switch(es), {} probe(s), {} phase change(s), \
@@ -758,6 +740,21 @@ fn print_autotune_summary(report: &AutotuneReport, verbose: bool) {
     }
 }
 
+/// The autotune loop for `cfg` under the CLI thresholds and any
+/// `SMT_AUTOTUNE_*` overrides of `tune`, or exit 2.
+fn autotune_loop(o: &Opts, cfg: &MachineConfig, tune: AutotuneConfig) -> AutotuneLoop {
+    let tune = tune.from_env().unwrap_or_else(|e| {
+        eprintln!("bad SMT_AUTOTUNE_* override: {e}");
+        std::process::exit(2);
+    });
+    let top = *cfg.smt_levels().last().expect("levels");
+    let selector = LevelSelector::fixed_for_top(top, o.threshold, o.mid);
+    AutotuneLoop::new(selector, MetricSpec::for_arch(&cfg.arch), tune).unwrap_or_else(|e| {
+        eprintln!("bad autotune config: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn cmd_autotune(o: &Opts) {
     if o.probe_affinity {
         // Capability probe, same contract as `collect --probe`: always a
@@ -783,24 +780,11 @@ fn cmd_autotune(o: &Opts) {
             o.machine.clone()
         };
         let (cfg, _label) = machine_by_name(&machine);
-        let top = *cfg.smt_levels().last().expect("levels");
         let mut tune = AutotuneConfig::default();
         if meta.window_cycles > 0 {
             tune.window_cycles = meta.window_cycles;
         }
-        let tune = tune.from_env().unwrap_or_else(|e| {
-            eprintln!("bad SMT_AUTOTUNE_* override: {e}");
-            std::process::exit(2);
-        });
-        let mut ctl = AutotuneLoop::new(
-            autotune_selector(o, top),
-            MetricSpec::for_arch(&cfg.arch),
-            tune,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("bad autotune config: {e}");
-            std::process::exit(2);
-        });
+        let mut ctl = autotune_loop(o, &cfg, tune);
         let mut dry = DryRunActuator::new();
         let report = ctl
             .run_stream(&mut backend, &mut dry, u64::MAX)
@@ -834,21 +818,9 @@ fn cmd_autotune(o: &Opts) {
     let tune = AutotuneConfig {
         window_cycles: o.window_cycles,
         ..AutotuneConfig::default()
-    }
-    .from_env()
-    .unwrap_or_else(|e| {
-        eprintln!("bad SMT_AUTOTUNE_* override: {e}");
-        std::process::exit(2);
-    });
-    let mut ctl = AutotuneLoop::new(
-        autotune_selector(o, top),
-        MetricSpec::for_arch(&cfg.arch),
-        tune,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("bad autotune config: {e}");
-        std::process::exit(2);
-    });
+    };
+    let mut ctl = autotune_loop(o, &cfg, tune);
+    let tune = *ctl.config();
     let mut act = SimActuator::new(Simulation::new(cfg.clone(), top, phased));
 
     let report = if let Some(path) = &o.record {
@@ -983,10 +955,7 @@ fn cmd_collect(o: &Opts, record_to: Option<&str>) {
     // collected stream answers exactly as `smtd` would for the same bits.
     let mut sspec = session_spec(o);
     sspec.window_cycles = o.window_cycles;
-    let mut session = service::Session::new(0, &sspec).unwrap_or_else(|e| {
-        eprintln!("bad session parameters: {e}");
-        std::process::exit(2);
-    });
+    let mut session = open_session(&sspec);
     session.ingest(&windows);
     let report = collector.finish().unwrap_or_else(|e| {
         eprintln!("finalizing trace failed: {e}");
@@ -1087,10 +1056,7 @@ fn cmd_replay(o: &Opts) {
         return;
     }
 
-    let mut session = service::Session::new(0, &sspec).unwrap_or_else(|e| {
-        eprintln!("bad session parameters: {e}");
-        std::process::exit(2);
-    });
+    let mut session = open_session(&sspec);
     let mut replayed = 0u64;
     loop {
         match backend.next_window(0) {
@@ -1179,10 +1145,7 @@ fn cmd_place(o: &Opts) {
     } else {
         // Offline: the daemon's own session type answers locally, so this
         // line is byte-identical to what a live smtd would serve.
-        let mut session = service::Session::new(0, &sspec).unwrap_or_else(|e| {
-            eprintln!("bad session parameters: {e}");
-            std::process::exit(2);
-        });
+        let mut session = open_session(&sspec);
         for (i, windows) in profiles.iter().enumerate() {
             session.ingest_tagged(i as u32, windows);
         }
